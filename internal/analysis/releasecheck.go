@@ -23,28 +23,20 @@ var ReleaseCheck = &Analyzer{
 var releaseSpec = &ownSpec{
 	directive: "ownership-transferred",
 	noun:      "query result",
+	// The producers of owned results: the one executor entry point, the
+	// materializing query methods of the engine facade, and the
+	// collecting drain. The streaming methods (QueryStream) are absent:
+	// their rows go to the sink, and the Result carries an empty
+	// relation.
 	producers: map[string]int{
-		execPath + "Execute":             0,
-		execPath + "ExecuteContext":      0,
-		execPath + "ExecuteParams":       0,
-		execPath + "ExecuteTraced":       0,
-		execPath + "ExecuteTracedParams": 0,
+		execPath + "Execute": 0,
 
-		enginePath + "DB.Query":            0,
-		enginePath + "DB.QueryContext":     0,
-		enginePath + "DB.QueryArgs":        0,
-		enginePath + "DB.QueryArgsContext": 0,
-		enginePath + "DB.Run":              0,
-		enginePath + "DB.RunContext":       0,
-		enginePath + "Stmt.Query":          0,
-		enginePath + "Stmt.QueryContext":   0,
+		enginePath + "DB.Query":          0,
+		enginePath + "DB.QueryContext":   0,
+		enginePath + "Stmt.Query":        0,
+		enginePath + "Stmt.QueryContext": 0,
 
-		physicalPath + "Run":                 0,
-		physicalPath + "RunPooled":           0,
-		physicalPath + "Drain":               0,
-		physicalPath + "DrainPooled":         0,
-		physicalPath + "ParallelDrain":       0,
-		physicalPath + "ParallelDrainPooled": 0,
+		physicalPath + "Collect": 0,
 	},
 	consumers: map[string]consumeKind{
 		// res.Release() resolves here for engine.Result too (it embeds

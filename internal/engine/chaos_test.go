@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"sommelier/internal/fault"
 	"sommelier/internal/registrar"
 	"sommelier/internal/storage"
 )
@@ -253,8 +254,11 @@ func TestChaosDiskTierDegraded(t *testing.T) {
 	if s := faulty.DiskCacheStats(); s.Spills == 0 || s.Promotes == 0 {
 		t.Fatalf("disk tier idle under chaos churn: %+v", s)
 	}
-	if faulty.FaultInjector() != nil && faulty.FaultInjector().Enabled() && !sawDegraded {
-		t.Error("armed ambient schedule never degraded a query over the disk tier")
+	// An armed schedule degrades queries only when it fires: the
+	// zero-rate chaos leg arms every point and never injects.
+	inj := faulty.FaultInjector()
+	if fired := inj.Fired(fault.PointCacheFill) + inj.Fired(fault.PointFlight) + inj.Fired(fault.PointDecode); fired > 0 && !sawDegraded {
+		t.Errorf("ambient schedule injected %d faults but never degraded a query over the disk tier", fired)
 	}
 	if err := faulty.Close(); err != nil {
 		t.Fatal(err)

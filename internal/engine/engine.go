@@ -107,11 +107,11 @@ const DefaultCacheBytes = 4 << 30
 // DB is an open database over one registered repository.
 //
 // A DB is safe for concurrent use: any number of goroutines may call
-// Query/QueryContext/Run simultaneously. The executor deduplicates
-// concurrent loads of the same missing chunk, pins every chunk a query
-// scans so another query's cache eviction cannot yank it mid-scan, and
-// serializes derived-metadata maintenance (Algorithm 1) behind the DMd
-// manager's lock. Two concurrent queries therefore return exactly what
+// Query/QueryContext/QueryStream simultaneously. The executor
+// deduplicates concurrent loads of the same missing chunk, pins every
+// chunk a query scans so another query's cache eviction cannot yank it
+// mid-scan, and serializes derived-metadata maintenance (Algorithm 1)
+// behind the DMd manager's lock. Two concurrent queries therefore return exactly what
 // they would have returned when run serially.
 type DB struct {
 	cat      *table.Catalog
@@ -134,11 +134,6 @@ type DB struct {
 	optCtx   opt.Context
 	optRules opt.Options
 	plans    *planCache
-
-	// forceStream (SOMMELIER_FORCE_STREAMING) routes every materialized
-	// Query through the streaming executor into a collecting sink, so
-	// the full test suite exercises the streaming path.
-	forceStream bool
 
 	// seriesPlan is the derived-metadata fetcher's parameterized series
 	// query, compiled on first use and replayed per derivation.
@@ -343,9 +338,6 @@ func OpenSource(repo registrar.ChunkSource, csvDir string, cfg Config) (*DB, err
 	if fc, ok := repo.(registrar.FaultConfigurable); ok {
 		fc.SetFaults(db.env.Faults)
 	}
-	if v := strings.TrimSpace(os.Getenv(EnvForceStreaming)); v != "" && v != "0" {
-		db.forceStream = true
-	}
 
 	db.dmd = dmd.NewManager(db.cat, fetcherFunc(db.fetchSeries))
 	if cfg.Approach == registrar.EagerDMd {
@@ -398,7 +390,7 @@ func (db *DB) fetchSeries(station, channel string, from, to int64) ([]int64, []f
 		return nil, nil, db.seriesErr
 	}
 	args := []*expr.Const{expr.Str(station), expr.Str(channel), expr.Time(from), expr.Time(to)}
-	res, err := exec.ExecuteParams(context.Background(), db.env, db.seriesPlan, args)
+	res, err := exec.Execute(context.Background(), db.env, db.seriesPlan, exec.Opts{Params: args})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -546,42 +538,14 @@ func (db *DB) prepareDMd(c *compiled, args []*expr.Const) (dmd.Stats, error) {
 
 // execCompiled runs a compiled statement: Algorithm 1 (derived-metadata
 // preparation) against the argument-substituted predicates, then the
-// two-stage executor.
-func (db *DB) execCompiled(ctx context.Context, c *compiled, args []*expr.Const) (*Result, error) {
+// two-stage executor — into sink when one is given, else into a
+// collected result relation.
+func (db *DB) execCompiled(ctx context.Context, c *compiled, args []*expr.Const, sink StreamSink) (*Result, error) {
 	dst, err := db.prepareDMd(c, args)
 	if err != nil {
 		return nil, err
 	}
-	if db.forceStream {
-		// Forced streaming (tests, CI): run the streaming executor into
-		// a collecting sink, reproducing the materialized result through
-		// the streaming path.
-		sink := &physical.CollectSink{}
-		res, err := exec.ExecuteStreamParams(ctx, db.env, c.plan, args, sink)
-		if err != nil {
-			return nil, err
-		}
-		if sink.Rel != nil {
-			res.Rel = sink.Rel
-		}
-		return &Result{Result: res, QueryType: c.plan.Type(), DMd: dst, Plan: c.plan}, nil
-	}
-	res, err := exec.ExecuteParams(ctx, db.env, c.plan, args)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Result: res, QueryType: c.plan.Type(), DMd: dst, Plan: c.plan}, nil
-}
-
-// execCompiledStream is execCompiled with streaming delivery: result
-// batches reach sink incrementally and the returned Result carries an
-// empty relation (schema, stats and provenance only).
-func (db *DB) execCompiledStream(ctx context.Context, c *compiled, args []*expr.Const, sink StreamSink) (*Result, error) {
-	dst, err := db.prepareDMd(c, args)
-	if err != nil {
-		return nil, err
-	}
-	res, err := exec.ExecuteStreamParams(ctx, db.env, c.plan, args, sink)
+	res, err := exec.Execute(ctx, db.env, c.plan, exec.Opts{Params: args, Sink: sink})
 	if err != nil {
 		return nil, err
 	}
@@ -591,59 +555,19 @@ func (db *DB) execCompiledStream(ctx context.Context, c *compiled, args []*expr.
 // Query parses, prepares (Algorithm 1) and executes one SQL statement.
 // Repeated statements differing only in literals share one compiled
 // plan through the plan cache (the parser normalizes literals into
-// parameters).
-func (db *DB) Query(sql string) (*Result, error) {
-	return db.QueryContext(context.Background(), sql)
+// parameters). `?` parameter markers bind to args
+// (int/int64/float64/string/bool/time.Time); statements without
+// explicit markers take no args (their literals are auto-parameterized
+// internally). An EXPLAIN statement returns the optimized plan and the
+// applied-rule log as rows instead of executing.
+func (db *DB) Query(sql string, args ...any) (*Result, error) {
+	return db.query(context.Background(), sql, nil, args)
 }
 
 // QueryContext is Query with cancellation: the executor aborts between
 // batches and before chunk ingestions once ctx is done.
-func (db *DB) QueryContext(ctx context.Context, sql string) (*Result, error) {
-	return db.QueryArgsContext(ctx, sql)
-}
-
-// QueryArgs executes a statement with `?` parameter markers bound to
-// args (int/int64/float64/string/bool/time.Time).
-func (db *DB) QueryArgs(sql string, args ...any) (*Result, error) {
-	return db.QueryArgsContext(context.Background(), sql, args...)
-}
-
-// QueryArgsContext is QueryArgs with cancellation. Statements without
-// explicit markers take no args (their literals are auto-parameterized
-// internally); an EXPLAIN statement returns the optimized plan and the
-// applied-rule log as rows instead of executing.
-func (db *DB) QueryArgsContext(ctx context.Context, sql string, args ...any) (*Result, error) {
-	t0 := time.Now()
-	st, err := sqlparse.ParseStatement(sql)
-	if err != nil {
-		return nil, err
-	}
-	if st.Explain {
-		// EXPLAIN only compiles — argument values are never used, so
-		// none are required (any supplied are ignored).
-		c, hit, err := db.compileStatement(st)
-		if err != nil {
-			return nil, err
-		}
-		res := explainResult(c.plan)
-		res.Compile, res.PlanCacheHit = time.Since(t0), hit
-		return res, nil
-	}
-	vals, err := statementArgs(st, args)
-	if err != nil {
-		return nil, err
-	}
-	c, hit, err := db.compileStatement(st)
-	if err != nil {
-		return nil, err
-	}
-	compile := time.Since(t0)
-	res, err := db.execCompiled(ctx, c, vals)
-	if err != nil {
-		return nil, err
-	}
-	res.Compile, res.PlanCacheHit = compile, hit
-	return res, nil
+func (db *DB) QueryContext(ctx context.Context, sql string, args ...any) (*Result, error) {
+	return db.query(ctx, sql, nil, args)
 }
 
 // StreamSink receives the batches of a streaming query in result
@@ -663,11 +587,6 @@ type SchemaSink = physical.SchemaSink
 // success.
 var ErrStopStream = physical.ErrStopStream
 
-// EnvForceStreaming, when set (any value but "0"), routes every
-// materialized Query through the streaming executor into a collecting
-// sink: the CI lever that runs the whole suite on the streaming path.
-const EnvForceStreaming = "SOMMELIER_FORCE_STREAMING"
-
 // QueryStream parses, prepares and executes one SQL statement with
 // streaming result delivery: batches reach sink as they are produced,
 // only pipeline breakers (sort, aggregation, join build) materialize,
@@ -676,12 +595,21 @@ const EnvForceStreaming = "SOMMELIER_FORCE_STREAMING"
 // with an empty relation. An EXPLAIN statement streams its plan rows
 // through the sink like any other result.
 func (db *DB) QueryStream(ctx context.Context, sql string, sink StreamSink, args ...any) (*Result, error) {
+	return db.query(ctx, sql, sink, args)
+}
+
+// query is the one statement path behind Query, QueryContext and
+// QueryStream: parse, EXPLAIN or argument reconciliation, compile
+// through the plan cache, execute (streaming into sink when non-nil).
+func (db *DB) query(ctx context.Context, sql string, sink StreamSink, args []any) (*Result, error) {
 	t0 := time.Now()
 	st, err := sqlparse.ParseStatement(sql)
 	if err != nil {
 		return nil, err
 	}
 	if st.Explain {
+		// EXPLAIN only compiles — argument values are never used, so
+		// none are required (any supplied are ignored).
 		c, hit, err := db.compileStatement(st)
 		if err != nil {
 			return nil, err
@@ -699,7 +627,7 @@ func (db *DB) QueryStream(ctx context.Context, sql string, sink StreamSink, args
 		return nil, err
 	}
 	compile := time.Since(t0)
-	res, err := db.execCompiledStream(ctx, c, vals, sink)
+	res, err := db.execCompiled(ctx, c, vals, sink)
 	if err != nil {
 		return nil, err
 	}
@@ -709,8 +637,12 @@ func (db *DB) QueryStream(ctx context.Context, sql string, sink StreamSink, args
 
 // streamOut pushes an already-materialized result's batches through a
 // sink (the EXPLAIN path, whose rows exist before streaming starts)
-// and leaves the result empty. A sink stop simply drops the remainder.
+// and leaves the result empty. A sink stop simply drops the remainder;
+// without a sink the result keeps its rows.
 func streamOut(res *Result, sink StreamSink) error {
+	if sink == nil {
+		return nil
+	}
 	if ss, ok := sink.(physical.SchemaSink); ok {
 		ss.SetSchema(res.Names, res.Kinds)
 	}
@@ -817,28 +749,12 @@ func (s *Stmt) NumParams() int { return s.nParams }
 // reuse the original literals, or with fresh values for every
 // parameter.
 func (s *Stmt) Query(args ...any) (*Result, error) {
-	return s.QueryContext(context.Background(), args...)
+	return s.query(context.Background(), nil, args)
 }
 
 // QueryContext is Query with cancellation.
 func (s *Stmt) QueryContext(ctx context.Context, args ...any) (*Result, error) {
-	if s.explain {
-		return explainResult(s.c.plan), nil
-	}
-	var vals []*expr.Const
-	if len(args) == 0 && s.defaults != nil {
-		vals = s.defaults
-	} else {
-		if len(args) != s.nParams {
-			return nil, fmt.Errorf("engine: prepared statement needs %d argument(s), got %d", s.nParams, len(args))
-		}
-		var err error
-		vals, err = convertArgs(args)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return s.db.execCompiled(ctx, s.c, vals)
+	return s.query(ctx, nil, args)
 }
 
 // QueryStream executes the prepared statement with streaming result
@@ -846,47 +762,28 @@ func (s *Stmt) QueryContext(ctx context.Context, args ...any) (*Result, error) {
 // property of prepared statements holds: streaming reuses the cached
 // plan untouched.
 func (s *Stmt) QueryStream(ctx context.Context, sink StreamSink, args ...any) (*Result, error) {
+	return s.query(ctx, sink, args)
+}
+
+// query is the one execution path behind the Stmt methods: argument
+// reconciliation against the prepared defaults, then the compiled
+// plan (streaming into sink when non-nil).
+func (s *Stmt) query(ctx context.Context, sink StreamSink, args []any) (*Result, error) {
 	if s.explain {
 		res := explainResult(s.c.plan)
 		return res, streamOut(res, sink)
 	}
-	var vals []*expr.Const
-	if len(args) == 0 && s.defaults != nil {
-		vals = s.defaults
-	} else {
+	vals := s.defaults
+	if len(args) > 0 || s.defaults == nil {
 		if len(args) != s.nParams {
 			return nil, fmt.Errorf("engine: prepared statement needs %d argument(s), got %d", s.nParams, len(args))
 		}
 		var err error
-		vals, err = convertArgs(args)
-		if err != nil {
+		if vals, err = convertArgs(args); err != nil {
 			return nil, err
 		}
 	}
-	return s.db.execCompiledStream(ctx, s.c, vals, sink)
-}
-
-// Run executes a programmatically constructed query specification
-// (compiled outside the plan cache — there is no statement text to key
-// it by).
-func (db *DB) Run(q *plan.Query) (*Result, error) {
-	return db.RunContext(context.Background(), q)
-}
-
-// RunContext is Run with cancellation.
-func (db *DB) RunContext(ctx context.Context, q *plan.Query) (*Result, error) {
-	t0 := time.Now()
-	p, err := db.compileQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	compile := time.Since(t0)
-	res, err := db.execCompiled(ctx, &compiled{query: q, plan: p}, nil)
-	if err != nil {
-		return nil, err
-	}
-	res.Compile = compile
-	return res, nil
+	return s.db.execCompiled(ctx, s.c, vals, sink)
 }
 
 // Catalog exposes the warehouse catalog.
@@ -937,8 +834,7 @@ func (db *DB) WarmUp(sql string, runs int) error {
 // ExplainAnalyze executes a SQL statement with operator-level tracing
 // and renders the plan annotated with the rows each operator emitted
 // per stage, plus the execution statistics. Compilation goes through
-// the same cache as Query; args bind `?` markers exactly as in
-// QueryArgs.
+// the same cache as Query; args bind `?` markers exactly as in Query.
 func (db *DB) ExplainAnalyze(sql string, args ...any) (string, error) {
 	st, err := sqlparse.ParseStatement(sql)
 	if err != nil {
@@ -956,7 +852,8 @@ func (db *DB) ExplainAnalyze(sql string, args ...any) (string, error) {
 		return "", err
 	}
 	p := c.plan
-	res, trace, err := exec.ExecuteTracedParams(context.Background(), db.env, p, vals)
+	trace := &exec.Trace{}
+	res, err := exec.Execute(context.Background(), db.env, p, exec.Opts{Params: vals, Trace: trace})
 	if err != nil {
 		return "", err
 	}

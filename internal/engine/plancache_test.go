@@ -217,7 +217,7 @@ func TestPlanCacheConcurrentStress(t *testing.T) {
 	// Reference answers, serially.
 	want := make(map[string]int64)
 	for _, st := range stations {
-		res, err := db.QueryArgs(`SELECT COUNT(*) AS n FROM dataview WHERE F.station = ?`, st)
+		res, err := db.Query(`SELECT COUNT(*) AS n FROM dataview WHERE F.station = ?`, st)
 		if err != nil {
 			t.Fatal(err)
 		}

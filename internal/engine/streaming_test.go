@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -207,12 +206,6 @@ func TestStreamingDisconnectStress(t *testing.T) {
 // succeeds — stage one's small metadata result still has to fit (it
 // always materializes), but the streamed stage-two rows never count.
 func TestStreamingQuota(t *testing.T) {
-	if v := os.Getenv(EnvForceStreaming); v != "" && v != "0" {
-		// Forced streaming routes Query through the streaming drain, so
-		// the materialized side of this differential cannot trip the
-		// ceiling — the contract under test doesn't exist in this mode.
-		t.Skipf("%s set: no materialized path to meter", EnvForceStreaming)
-	}
 	dir := genRepo(t, 1)
 	const ceiling = 16 << 10 // far below the result size, far above stage one's
 	db, err := Open(dir, Config{Approach: registrar.Lazy, MaxQueryBytes: ceiling})

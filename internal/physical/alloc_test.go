@@ -58,7 +58,7 @@ func TestFilterAllocBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := RunPooled(s)
+		out, err := Collect(s, Opts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func TestJoinAllocBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := RunPooled(j)
+		out, err := Collect(j, Opts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestGroupByAllocBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := RunPooled(agg)
+		out, err := Collect(agg, Opts{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -112,7 +112,7 @@ func TestDifferentialRelScan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := Run(s)
+			got, err := Collect(s, Opts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,7 +143,7 @@ func TestDifferentialFilterChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(f2)
+	got, err := Collect(f2, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestZoneMapSkipping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(s)
+	got, err := Collect(s, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func runJoin(t *testing.T, dim, fact *storage.Relation, forceComposite bool, pro
 	if forceComposite {
 		j.fastKey = false
 	}
-	out, err := Run(j)
+	out, err := Collect(j, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func runAgg(t *testing.T, rel *storage.Relation, names []string, kinds []storage
 	if forceComposite {
 		agg.fastKey = false
 	}
-	out, err := Run(agg)
+	out, err := Collect(agg, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -201,7 +201,7 @@ func (j *HashJoin) Kinds() []storage.Kind { return j.kinds }
 const parallelBuildMin = 1 << 13
 
 func (j *HashJoin) build() error {
-	rel, err := DrainWith(j.left, DrainOpts{DOP: j.dop, Quota: j.quota, Check: j.check, Morsel: j.check})
+	rel, err := Collect(j.left, Opts{DOP: j.dop, Quota: j.quota, Check: j.check, Morsel: j.check})
 	if err != nil {
 		return err
 	}
@@ -479,7 +479,7 @@ func (c *CrossJoin) Kinds() []storage.Kind { return c.kinds }
 // Next implements Operator.
 func (c *CrossJoin) Next() (*storage.Batch, error) {
 	if !c.built {
-		lrel, err := Run(c.left)
+		lrel, err := Collect(c.left, Opts{})
 		if err != nil {
 			return nil, err
 		}
@@ -487,7 +487,7 @@ func (c *CrossJoin) Next() (*storage.Batch, error) {
 		// Both sides outlive the drain (the right batches are re-emitted
 		// in the product): take them out of pool accounting.
 		lrel.Disown()
-		c.rightRel, err = Run(c.right)
+		c.rightRel, err = Collect(c.right, Opts{})
 		if err != nil {
 			return nil, err
 		}

@@ -3,8 +3,8 @@ package physical
 // Differential tests for morsel-driven parallel execution: at every
 // degree of parallelism, scans, filter chains, projections, join probes
 // and grouped aggregation must produce exactly the serial result — the
-// same rows in the same order (ParallelDrain reassembles morsel ranges
-// in order; aggregates partition at a DOP-independent grain and merge
+// same rows in the same order (a parallel Collect delivers morsel
+// ranges in order; aggregates partition at a DOP-independent grain and merge
 // partials in range order, so even the floating-point aggregates are
 // bitwise identical). Against a whole-input reference fold, float
 // aggregates are compared with a tolerance (merge rounding differs).
@@ -83,12 +83,12 @@ func TestParallelScanFilterProject(t *testing.T) {
 				}
 				return p
 			}
-			want, err := Run(build())
+			want, err := Collect(build(), Opts{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, dop := range testDOPs {
-				got, err := ParallelDrain(build(), dop, nil)
+				got, err := Collect(build(), Opts{DOP: dop})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -137,12 +137,12 @@ func TestParallelJoin(t *testing.T) {
 				j.SetParallel(dop)
 				return j
 			}
-			want, err := Run(build(1))
+			want, err := Collect(build(1), Opts{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, dop := range testDOPs {
-				got, err := ParallelDrain(build(dop), dop, nil)
+				got, err := Collect(build(dop), Opts{DOP: dop})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -197,13 +197,13 @@ func TestParallelPartitionedBuild(t *testing.T) {
 		j.SetParallel(dop)
 		return j
 	}
-	want, err := Run(build(1))
+	want, err := Collect(build(1), Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, dop := range testDOPs {
 		j := build(dop)
-		got, err := ParallelDrain(j, dop, nil)
+		got, err := Collect(j, Opts{DOP: dop})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,12 +263,12 @@ func TestParallelAggregate(t *testing.T) {
 				return s
 			}
 			pred := expr.NewCmp(expr.GT, expr.Col("D.val"), expr.Float(-50))
-			want, err := Run(build(1, scan(pred)))
+			want, err := Collect(build(1, scan(pred)), Opts{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, dop := range testDOPs {
-				got, err := Run(build(dop, scan(pred)))
+				got, err := Collect(build(dop, scan(pred)), Opts{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -278,7 +278,7 @@ func TestParallelAggregate(t *testing.T) {
 			// A non-splittable input folds the whole stream into one
 			// accumulator; its float results may differ in rounding.
 			var rows int64
-			ref, err := Run(build(1, NewCounted(scan(pred), &rows)))
+			ref, err := Collect(build(1, NewCounted(scan(pred), &rows)), Opts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -312,7 +312,7 @@ func TestParallelAggregateGlobal(t *testing.T) {
 			agg.SetParallel(dop)
 			return agg
 		}
-		want, err := Run(build(1))
+		want, err := Collect(build(1), Opts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -320,7 +320,7 @@ func TestParallelAggregateGlobal(t *testing.T) {
 			t.Fatalf("global aggregate emitted %d rows", want.Rows())
 		}
 		for _, dop := range testDOPs {
-			got, err := Run(build(dop))
+			got, err := Collect(build(dop), Opts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -347,12 +347,12 @@ func TestParallelSort(t *testing.T) {
 		srt.SetParallel(dop)
 		return srt
 	}
-	want, err := Run(build(1))
+	want, err := Collect(build(1), Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, dop := range testDOPs {
-		got, err := Run(build(dop))
+		got, err := Collect(build(dop), Opts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -382,7 +382,7 @@ func TestSplitTransfersWork(t *testing.T) {
 	}
 	got := storage.NewRelation()
 	for _, p := range parts {
-		rel, err := Run(p)
+		rel, err := Collect(p, Opts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -390,7 +390,7 @@ func TestSplitTransfersWork(t *testing.T) {
 			got.Append(b)
 		}
 	}
-	want, err := Run(mustScan(t, rel, names, kinds))
+	want, err := Collect(mustScan(t, rel, names, kinds), Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func TestRelScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(s)
+	out, err := Collect(s, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestRelScanWithPredicate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(s)
+	out, err := Collect(s, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,13 +85,14 @@ func TestFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(f)
+	out, err := Collect(f, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Rows() != 3 {
 		t.Fatalf("rows = %d", out.Rows())
 	}
+	out.Release()
 }
 
 func TestProject(t *testing.T) {
@@ -103,7 +104,7 @@ func TestProject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(p)
+	out, err := Collect(p, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestHashJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(j)
+	out, err := Collect(j, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestHashJoinEmptyBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(j)
+	out, err := Collect(j, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestCrossJoin(t *testing.T) {
 	ms, _ := NewRelScan(mrel, mnames, mkinds, nil)
 	ds, _ := NewRelScan(drel, dnames, dkinds, nil)
 	c := NewCrossJoin(ms, ds)
-	out, err := Run(c)
+	out, err := Collect(c, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestMultiRelScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(s)
+	out, err := Collect(s, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +216,7 @@ func TestMultiRelScan(t *testing.T) {
 
 func TestEmpty(t *testing.T) {
 	e := NewEmpty([]string{"a"}, []storage.Kind{storage.KindInt64})
-	out, err := Run(e)
+	out, err := Collect(e, Opts{})
 	if err != nil || out.Rows() != 0 {
 		t.Fatalf("empty: %v %d", err, out.Rows())
 	}
@@ -229,7 +230,7 @@ func TestIndexScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewIndexScan(ix, flat, names, kinds, index.Key{S0: "ISK"})
-	out, err := Run(s)
+	out, err := Collect(s, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +238,7 @@ func TestIndexScan(t *testing.T) {
 		t.Fatalf("rows = %d", out.Rows())
 	}
 	s2 := NewIndexScan(ix, flat, names, kinds, index.Key{S0: "absent"})
-	out2, _ := Run(s2)
+	out2, _ := Collect(s2, Opts{})
 	if out2.Rows() != 0 {
 		t.Fatal("phantom rows")
 	}
@@ -257,7 +258,7 @@ func TestGlobalAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(agg)
+	out, err := Collect(agg, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +297,7 @@ func TestGroupedAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(agg)
+	out, err := Collect(agg, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +332,7 @@ func TestAggregateEmptyInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(agg)
+	out, err := Collect(agg, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +346,7 @@ func TestAggregateEmptyInput(t *testing.T) {
 	// Grouped aggregate over empty input emits nothing.
 	e2 := NewEmpty([]string{"g", "v"}, []storage.Kind{storage.KindInt64, storage.KindFloat64})
 	agg2, _ := NewHashAggregate(e2, []int{0}, []AggColumn{{Func: AggCount, Name: "n"}})
-	out2, _ := Run(agg2)
+	out2, _ := Collect(agg2, Opts{})
 	if out2.Rows() != 0 {
 		t.Fatal("grouped aggregate over empty input must emit no rows")
 	}
@@ -375,7 +376,7 @@ func TestSortAndLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	lim := NewLimit(srt, 2)
-	out, err := Run(lim)
+	out, err := Collect(lim, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +400,7 @@ func TestSortMultiKeyStability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _ := Run(srt)
+	out, _ := Collect(srt, Opts{})
 	flat := out.Flatten()
 	ss := flat.Cols[0].(*storage.StringColumn)
 	is := storage.Int64s(flat.Cols[1])
@@ -443,7 +444,7 @@ func TestQuickHashJoinOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := Run(j)
+		out, err := Collect(j, Opts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -475,7 +476,7 @@ func TestQuickStddevOracle(t *testing.T) {
 		s, _ := NewRelScan(relOf(storage.NewBatch(storage.NewFloat64Column(vals))),
 			[]string{"v"}, []storage.Kind{storage.KindFloat64}, nil)
 		agg, _ := NewHashAggregate(s, nil, []AggColumn{{Func: AggStddev, Arg: expr.Col("v"), Name: "sd"}})
-		out, err := Run(agg)
+		out, err := Collect(agg, Opts{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,15 +8,15 @@ import (
 	"sommelier/internal/storage"
 )
 
-// This file implements the streaming drain: instead of coalescing an
-// operator's output into a full relation, batches are delivered
-// incrementally to a StreamSink as they are produced. Only pipeline
-// breakers (sort, aggregation, the join build side) still materialize;
-// everything above them — scans, filters, projections, fused
-// pipelines, the join probe side — flows through with bounded memory,
-// so a query's resident footprint is independent of its result
-// cardinality and the first row reaches the sink long before the last
-// one is computed.
+// This file implements the drain, the one loop that pulls an operator
+// to completion: batches are delivered incrementally to a StreamSink
+// as they are produced. Only pipeline breakers (sort, aggregation, the
+// join build side) materialize their input; everything above them —
+// scans, filters, projections, fused pipelines, the join probe side —
+// flows through with bounded memory, so a streamed query's resident
+// footprint is independent of its result cardinality and the first row
+// reaches the sink long before the last one is computed. Materializing
+// a result is the same drain into a collecting sink (Collect).
 
 // StreamSink receives the batches of a streaming drain, in result
 // order. Push takes ownership of the batch — even when it returns an
@@ -47,41 +47,42 @@ type SchemaSink interface {
 	SetSchema(names []string, kinds []storage.Kind)
 }
 
-// StreamOpts configures StreamWith, zero value = serial, unpooled,
-// unchecked, unmetered.
-type StreamOpts struct {
+// Opts configures a drain; the zero value is serial, unchecked and
+// unmetered.
+type Opts struct {
 	// DOP grants the drain up to this many workers when the operator
-	// can split its work (<=1 streams serially on the caller).
+	// can split its work (<=1 drains serially on the caller).
 	DOP int
-	// Check runs before every pull, as in Drain.
+	// Check runs before every pull and aborts the drain when it errors
+	// — the executor passes its context's Err for cancellation between
+	// batches.
 	Check func() error
-	// Pooled draws coalesced output batches from the batch pool; they
-	// reach the sink pooled, and the sink recycles them.
-	Pooled bool
-	// Quota, when non-nil, is charged for the bounded run-ahead buffers
-	// of the parallel drain (refunded as batches are delivered).
+	// Quota, when non-nil, is charged for every batch the drain buffers:
+	// the run-ahead buffers of the parallel drain (refunded as they are
+	// delivered) and, under Collect, the materialized result — the
+	// per-query memory ceiling.
 	Quota *storage.Quota
 	// Morsel, when non-nil, runs once per morsel-range claim (and once
-	// up front on the serial path), as in DrainOpts.Morsel: the
-	// watchdog/fault hook of the streaming drain.
+	// up front on the serial path) and aborts the drain when it errors.
+	// The executor uses it for the runaway-query watchdog and the
+	// exec.morsel fault point: Check bounds how long a worker runs
+	// between pulls, Morsel bounds it between range claims and is the
+	// one place injected stalls land.
 	Morsel func() error
 }
 
-// Stream drains op serially into sink with unpooled output; the
-// streaming analogue of Run. See StreamWith.
-func Stream(op Operator, sink StreamSink, check func() error) error {
-	return StreamWith(op, sink, StreamOpts{Check: check})
-}
-
-// StreamWith drains op to completion into sink. With DOP > 1 and a
-// splittable operator, morsel ranges are drained by a worker pool into
-// per-range buffers and delivered to the sink in range order — the
-// rows reach the sink in exactly the serial order, only batch
-// boundaries may differ. Delivery is the pacing mechanism: a worker
-// may run at most a bounded number of ranges ahead of the delivery
-// frontier, so a slow (or backpressured) sink suspends the scan
-// instead of buffering the result.
-func StreamWith(op Operator, sink StreamSink, o StreamOpts) error {
+// Drain pulls op to completion into sink. Selection-carrying batches
+// over fixed-width schemas are coalesced into full pooled batches;
+// contiguous batches pass through untouched (flushing first, to
+// preserve row order). With DOP > 1 and a splittable operator, morsel
+// ranges are drained by a worker pool into per-range buffers and
+// delivered to the sink in range order — the rows reach the sink in
+// exactly the serial order, only batch boundaries may differ. Delivery
+// is the pacing mechanism: a worker may run at most a bounded number
+// of ranges ahead of the delivery frontier, so a slow (or
+// backpressured) sink suspends the scan instead of buffering the
+// result.
+func Drain(op Operator, sink StreamSink, o Opts) error {
 	if o.DOP > 1 {
 		if sp, ok := op.(Splitter); ok {
 			parts, err := sp.Split(o.DOP * morselFanout)
@@ -89,7 +90,7 @@ func StreamWith(op Operator, sink StreamSink, o StreamOpts) error {
 				return err
 			}
 			if len(parts) > 1 {
-				return streamParts(parts, o.DOP, sink, o)
+				return streamParts(parts, sink, o)
 			}
 			if len(parts) == 1 {
 				op = parts[0]
@@ -99,41 +100,50 @@ func StreamWith(op Operator, sink StreamSink, o StreamOpts) error {
 	if err := claimCheck(o.Morsel); err != nil {
 		return err
 	}
-	return streamInto(op, sink, o.Check, o.Pooled)
+	return streamInto(op, sink, o.Check)
 }
 
-// streamInto is the serial streaming drain: the drainInto loop with
-// sink delivery in place of relation appends. The coalescer borrows a
-// scratch relation; completed batches are taken out of it and pushed
-// as soon as they form, so at most one batch's worth of rows is
-// buffered at any time.
-func streamInto(op Operator, sink StreamSink, check func() error, pooled bool) error {
-	var coal *storage.Coalescer
-	if pooled {
-		coal = storage.NewPooledCoalescer(op.Kinds())
-	} else {
-		coal = storage.NewCoalescer(op.Kinds())
+// Collect drains op into a relation: Drain into a CollectSink metered
+// by o.Quota. The caller owns the relation and Releases (or Disowns)
+// it; on error the partial relation is released here.
+func Collect(op Operator, o Opts) (*storage.Relation, error) {
+	c := &CollectSink{Rel: storage.NewRelationWithCap(batchHint(op)), Quota: o.Quota}
+	if err := Drain(op, c, o); err != nil {
+		c.Rel.Release()
+		return nil, err
 	}
+	return c.Rel, nil
+}
+
+// streamInto is the serial drain loop. The coalescer fills a scratch
+// relation; completed batches are pushed as soon as they form, so at
+// most one batch's worth of rows is buffered at any time, and the
+// scratch keeps its backing array across deliveries.
+func streamInto(op Operator, sink StreamSink, check func() error) error {
+	coal := storage.NewCoalescer(op.Kinds())
 	scratch := storage.NewRelation()
 	// deliver pushes everything buffered in scratch. The batch being
 	// pushed is owned by the sink from the moment Push is called; on an
 	// error only the batches not yet pushed are recycled here.
 	deliver := func() error {
-		for _, b := range scratch.TakeBatches() {
+		bs := scratch.Batches()
+		for i, b := range bs {
 			if err := sink.Push(b); err != nil {
+				for _, rest := range bs[i+1:] {
+					storage.PutBatch(rest)
+				}
+				scratch.Reset()
 				return err
 			}
 		}
+		scratch.Reset()
 		return nil
 	}
 	// dispose recycles rows still buffered after an early exit: the
-	// coalescer's builders are flushed into scratch and recycled along
-	// with anything undelivered.
+	// coalescer's builders are flushed into scratch and recycled.
 	dispose := func() {
 		coal.Flush(scratch)
-		for _, b := range scratch.TakeBatches() {
-			storage.PutBatch(b)
-		}
+		scratch.Release()
 	}
 	for {
 		if check != nil {
@@ -150,7 +160,6 @@ func streamInto(op Operator, sink StreamSink, check func() error, pooled bool) e
 		if b == nil {
 			coal.Flush(scratch)
 			if err := deliver(); err != nil && err != ErrStopStream {
-				dispose()
 				return err
 			}
 			return nil
@@ -175,12 +184,12 @@ func streamInto(op Operator, sink StreamSink, check func() error, pooled bool) e
 // streamParts drains split ranges on a pool of dop workers and
 // delivers the per-range buffers to the sink in range order. The
 // delivery frontier gates the morsel cursor: a part is only claimed
-// when it is within runAheadWindow ranges of the next undelivered one,
+// when it is within window (2×DOP) ranges of the next undelivered one,
 // so sink backpressure (a blocked Push) suspends scanning, and a sink
 // stop (ErrStopStream) stops the remaining ranges from ever being
 // claimed — the sink-driven cancellation path of LIMIT queries.
-func streamParts(parts []Operator, dop int, sink StreamSink, o StreamOpts) error {
-	check, pooled, quota := o.Check, o.Pooled, o.Quota
+func streamParts(parts []Operator, sink StreamSink, o Opts) error {
+	dop, check, quota := o.DOP, o.Check, o.Quota
 	window := dop * 2
 	var (
 		mu         sync.Mutex
@@ -218,6 +227,9 @@ func streamParts(parts []Operator, dop int, sink StreamSink, o StreamOpts) error
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// Each range buffers into the worker's collecting sink, charged
+			// against the quota until delivery refunds it.
+			buf := &CollectSink{Quota: quota}
 			for {
 				mu.Lock()
 				for !stop.Load() && cursor < len(parts) && cursor-next >= window {
@@ -237,23 +249,17 @@ func streamParts(parts []Operator, dop int, sink StreamSink, o StreamOpts) error
 					mu.Unlock()
 					return
 				}
-				var rel *storage.Relation
-				if pooled {
-					rel = storage.GetRelation(batchHint(parts[i]))
-				} else {
-					rel = NewOutputRelation(parts[i])
-				}
-				rel, err := drainInto(parts[i], workerCheck, rel, pooled, quota)
-				if err != nil {
-					// drainInto released the partial batches; the header is
-					// left to the GC, as in drainParts.
+				buf.Rel = storage.GetRelation(batchHint(parts[i]))
+				if err := streamInto(parts[i], buf, workerCheck); err != nil {
+					buf.Rel.Release()
+					storage.PutRelation(buf.Rel)
 					mu.Lock()
 					fail(err)
 					mu.Unlock()
 					return
 				}
 				mu.Lock()
-				outs[i] = rel
+				outs[i] = buf.Rel
 				// Deliver the in-order frontier. Only one worker delivers at
 				// a time (Push calls must be serialized and ordered); others
 				// go back to claiming parts.
@@ -266,7 +272,7 @@ func streamParts(parts []Operator, dop int, sink StreamSink, o StreamOpts) error
 					r := outs[next]
 					outs[next] = nil
 					mu.Unlock()
-					perr := pushRelation(sink, r, pooled, quota)
+					perr := pushRelation(sink, r, quota)
 					mu.Lock()
 					next++
 					ready.Broadcast()
@@ -286,9 +292,7 @@ func streamParts(parts []Operator, dop int, sink StreamSink, o StreamOpts) error
 	for _, rel := range outs {
 		if rel != nil {
 			rel.Release()
-			if pooled {
-				storage.PutRelation(rel)
-			}
+			storage.PutRelation(rel)
 		}
 	}
 	return failErr
@@ -298,11 +302,9 @@ func streamParts(parts []Operator, dop int, sink StreamSink, o StreamOpts) error
 // order, refunds the quota as the buffer empties, and recycles the
 // relation header. On a push error the undelivered remainder is
 // recycled here (the failing batch itself is the sink's).
-func pushRelation(sink StreamSink, r *storage.Relation, pooled bool, quota *storage.Quota) error {
+func pushRelation(sink StreamSink, r *storage.Relation, quota *storage.Quota) error {
 	batches := r.TakeBatches()
-	if pooled {
-		storage.PutRelation(r)
-	}
+	storage.PutRelation(r)
 	for bi, b := range batches {
 		sz := b.MemSize()
 		if err := sink.Push(b); err != nil {
@@ -321,28 +323,20 @@ func pushRelation(sink StreamSink, r *storage.Relation, pooled bool, quota *stor
 	return nil
 }
 
-// CollectSink accumulates a stream back into a relation: the sink that
-// makes the streaming path produce a materialized result (forced
-// streaming in tests and CI, the engine's fallback for statements that
-// need whole-result post-processing). The relation owns the pushed
-// batches; Release it as usual.
+// CollectSink accumulates a stream into a relation, charging every
+// pushed batch to Quota (nil = unmetered): the sink behind Collect and
+// the parallel drain's per-range buffers. The relation owns the pushed
+// batches, including one whose charge failed; Release it as usual.
 type CollectSink struct {
-	Rel *storage.Relation
-	// OnFirst, when set, runs once before the first batch is appended
-	// (time-to-first-row probes).
-	OnFirst func()
-	n       int
+	Rel   *storage.Relation
+	Quota *storage.Quota
 }
 
 // Push implements StreamSink.
 func (c *CollectSink) Push(b *storage.Batch) error {
-	if c.n == 0 && c.OnFirst != nil {
-		c.OnFirst()
-	}
-	c.n++
 	if c.Rel == nil {
 		c.Rel = storage.NewRelation()
 	}
 	c.Rel.Append(b)
-	return nil
+	return c.Quota.Charge(b.MemSize())
 }

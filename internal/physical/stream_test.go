@@ -1,7 +1,7 @@
 package physical
 
-// Differential tests for the streaming drain: StreamWith must deliver
-// exactly the rows Drain materializes, in the same order, at every
+// Differential tests for the drain: Drain must deliver exactly the
+// rows the serial Collect materializes, in the same order, at every
 // degree of parallelism and with pooling on or off; a sink stop must
 // end the query early without error and without leaking a single
 // pooled batch; a sink failure must abort with that error, equally
@@ -17,6 +17,31 @@ import (
 )
 
 var streamDOPs = []int{1, 2, 4, 8}
+
+// withPooling runs fn for pooling off and on (storage.SetPooling, the
+// pooled/unpooled differential oracle), restoring pooling afterwards.
+// Nothing pooled may be outstanding across a switch.
+func withPooling(t *testing.T, fn func(pooled bool)) {
+	t.Helper()
+	defer storage.SetPooling(true)
+	for _, pooled := range []bool{false, true} {
+		storage.SetPooling(pooled)
+		fn(pooled)
+	}
+}
+
+// reference is the serial Collect of op, taken out of pool accounting:
+// the expected rows outlive the pooling switches of the cases compared
+// against them.
+func reference(t *testing.T, op Operator) *storage.Relation {
+	t.Helper()
+	rel, err := Collect(op, Opts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel.Disown()
+	return rel
+}
 
 // stopAfterSink collects rows until a limit, then stops the stream:
 // the LIMIT-style consumer.
@@ -81,15 +106,11 @@ func TestStreamMatchesDrain(t *testing.T) {
 	empty := storage.NewRelation()
 	for _, r := range []*storage.Relation{rel, empty} {
 		for _, pred := range diffPreds(rng) {
-			want, err := Run(streamChain(t, r, names, kinds, pred))
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := reference(t, streamChain(t, r, names, kinds, pred))
 			for _, dop := range streamDOPs {
-				for _, pooled := range []bool{false, true} {
+				withPooling(t, func(bool) {
 					sink := &CollectSink{}
-					err := StreamWith(streamChain(t, r, names, kinds, pred), sink,
-						StreamOpts{DOP: dop, Pooled: pooled})
+					err := Drain(streamChain(t, r, names, kinds, pred), sink, Opts{DOP: dop})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -100,7 +121,7 @@ func TestStreamMatchesDrain(t *testing.T) {
 					sameRelation(t, got, want, pred.String()+" (stream)")
 					got.Release()
 					storage.RequireNoLeaks(t)
-				}
+				})
 			}
 		}
 	}
@@ -115,15 +136,11 @@ func TestStreamEarlyStop(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	rel, names, kinds := diffRel(rng, 32, 256)
 	pred := expr.NewCmp(expr.GT, expr.Col("D.val"), expr.Float(0))
-	want, err := Run(streamChain(t, rel, names, kinds, pred))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := reference(t, streamChain(t, rel, names, kinds, pred))
 	for _, dop := range streamDOPs {
-		for _, pooled := range []bool{false, true} {
+		withPooling(t, func(pooled bool) {
 			sink := &stopAfterSink{limit: 10}
-			err := StreamWith(streamChain(t, rel, names, kinds, pred), sink,
-				StreamOpts{DOP: dop, Pooled: pooled})
+			err := Drain(streamChain(t, rel, names, kinds, pred), sink, Opts{DOP: dop})
 			if err != nil {
 				t.Fatalf("dop %d pooled %v: %v", dop, pooled, err)
 			}
@@ -144,7 +161,7 @@ func TestStreamEarlyStop(t *testing.T) {
 			}
 			got.Release()
 			storage.RequireNoLeaks(t)
-		}
+		})
 	}
 }
 
@@ -157,29 +174,30 @@ func TestStreamPushError(t *testing.T) {
 	pred := expr.NewCmp(expr.GE, expr.Col("D.id"), expr.Int(0)) // all pass
 	boom := errors.New("client hung up")
 	for _, dop := range streamDOPs {
-		for _, pooled := range []bool{false, true} {
+		withPooling(t, func(pooled bool) {
 			sink := &failAfterSink{fail: boom}
-			err := StreamWith(streamChain(t, rel, names, kinds, pred), sink,
-				StreamOpts{DOP: dop, Pooled: pooled})
+			err := Drain(streamChain(t, rel, names, kinds, pred), sink, Opts{DOP: dop})
 			if !errors.Is(err, boom) {
 				t.Fatalf("dop %d pooled %v: err = %v, want %v", dop, pooled, err, boom)
 			}
 			storage.RequireNoLeaks(t)
-		}
+		})
 	}
 }
 
 // TestStreamQuota runs a parallel stream under a ceiling far below the
 // result size: the run-ahead buffering must trip the quota with a
-// typed error and recycle everything it had buffered.
+// typed error and recycle everything it had buffered. Collect meters
+// the materialized result the same way, serial and parallel, and
+// releases the partial relation itself.
 func TestStreamQuota(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
 	rel, names, kinds := diffRel(rng, 32, 512)
 	pred := expr.NewCmp(expr.GE, expr.Col("D.id"), expr.Int(0)) // all pass
-	sink := &CollectSink{}
-	err := StreamWith(streamChain(t, rel, names, kinds, pred), sink,
-		StreamOpts{DOP: 4, Pooled: true, Quota: storage.NewQuota(1)})
 	var qe *storage.QuotaError
+	sink := &CollectSink{}
+	err := Drain(streamChain(t, rel, names, kinds, pred), sink,
+		Opts{DOP: 4, Quota: storage.NewQuota(1)})
 	if !errors.As(err, &qe) {
 		t.Fatalf("err = %v, want a *storage.QuotaError", err)
 	}
@@ -187,4 +205,12 @@ func TestStreamQuota(t *testing.T) {
 		sink.Rel.Release()
 	}
 	storage.RequireNoLeaks(t)
+	for _, dop := range []int{1, 4} {
+		out, err := Collect(streamChain(t, rel, names, kinds, pred),
+			Opts{DOP: dop, Quota: storage.NewQuota(1)})
+		if !errors.As(err, &qe) || out != nil {
+			t.Fatalf("Collect dop %d: out %v, err = %v, want a *storage.QuotaError", dop, out, err)
+		}
+		storage.RequireNoLeaks(t)
+	}
 }

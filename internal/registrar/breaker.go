@@ -1,6 +1,7 @@
 package registrar
 
 import (
+	"context"
 	"sync"
 	"time"
 )
@@ -56,39 +57,76 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 }
 
 // breaker is one host's circuit breaker. The half-open state admits
-// exactly one in-flight probe; other callers are rejected as if open,
-// so a recovering host sees one request, not a thundering herd.
+// exactly one in-flight probe; callers arriving meanwhile wait for its
+// verdict instead of failing, so a recovering host sees one request,
+// not a thundering herd, and the callers queued behind the probe
+// proceed as soon as it succeeds.
 type breaker struct {
 	mu       sync.Mutex
 	cfg      BreakerConfig
 	state    BreakerState
 	fails    int // consecutive failures while closed
 	openedAt time.Time
-	probing  bool  // a half-open probe is in flight
-	opens    int64 // lifetime count of closed→open transitions
+	// verdict is non-nil while a half-open probe is in flight and is
+	// closed when the probe settles (success, failure or abandon).
+	verdict chan struct{}
+	opens   int64 // lifetime count of closed→open transitions
 }
 
-// allow reports whether a request may proceed; when it may not, the
-// remaining cooldown is returned for Retry-After-style surfacing.
-func (b *breaker) allow(now time.Time) (bool, time.Duration) {
+// allow reports whether a request may proceed and whether it is the
+// half-open probe; when it may not proceed, the remaining cooldown is
+// returned for Retry-After-style surfacing. A caller that finds a probe
+// in flight waits for its verdict — at most maxWait (one attempt
+// timeout; <= 0 means one cooldown) and never past ctx — then proceeds
+// if the probe re-closed the breaker, takes over an abandoned probe, or
+// is rejected if the probe re-opened it.
+func (b *breaker) allow(ctx context.Context, maxWait time.Duration) (ok, probe bool, wait time.Duration) {
+	if maxWait <= 0 {
+		maxWait = b.cfg.Cooldown
+	}
+	var timeout <-chan time.Time
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case BreakerClosed:
-		return true, 0
-	case BreakerOpen:
-		if wait := b.cfg.Cooldown - now.Sub(b.openedAt); wait > 0 {
-			return false, wait
+	for {
+		switch b.state {
+		case BreakerClosed:
+			b.mu.Unlock()
+			return true, false, 0
+		case BreakerOpen:
+			if wait := b.cfg.Cooldown - time.Since(b.openedAt); wait > 0 {
+				b.mu.Unlock()
+				return false, false, wait
+			}
+			b.state = BreakerHalfOpen
 		}
-		b.state = BreakerHalfOpen
-		b.probing = true
-		return true, 0
-	default: // half-open
-		if b.probing {
-			return false, b.cfg.Cooldown
+		if b.verdict == nil {
+			b.verdict = make(chan struct{})
+			b.mu.Unlock()
+			return true, true, 0
 		}
-		b.probing = true
-		return true, 0
+		verdict := b.verdict
+		b.mu.Unlock()
+		if timeout == nil {
+			t := time.NewTimer(maxWait)
+			defer t.Stop()
+			timeout = t.C
+		}
+		select {
+		case <-verdict:
+		case <-timeout:
+			return false, false, b.cfg.Cooldown
+		case <-ctx.Done():
+			return false, false, b.cfg.Cooldown
+		}
+		b.mu.Lock()
+	}
+}
+
+// settle ends an in-flight probe, waking every caller waiting on its
+// verdict. b.mu must be held.
+func (b *breaker) settle() {
+	if b.verdict != nil {
+		close(b.verdict)
+		b.verdict = nil
 	}
 }
 
@@ -98,7 +136,7 @@ func (b *breaker) success() {
 	defer b.mu.Unlock()
 	b.state = BreakerClosed
 	b.fails = 0
-	b.probing = false
+	b.settle()
 }
 
 // failure records a failed request: it trips a closed breaker past the
@@ -110,8 +148,8 @@ func (b *breaker) failure(now time.Time) {
 	case BreakerHalfOpen:
 		b.state = BreakerOpen
 		b.openedAt = now
-		b.probing = false
 		b.opens++
+		b.settle()
 	case BreakerClosed:
 		b.fails++
 		if b.fails >= b.cfg.Threshold {
@@ -121,6 +159,17 @@ func (b *breaker) failure(now time.Time) {
 		}
 	default: // already open (late failure from an admitted request)
 		b.openedAt = now
+	}
+}
+
+// abandon gives up a probe that ended without a verdict (its caller
+// cancelled): the breaker stays half-open and the next waiting caller
+// becomes the probe.
+func (b *breaker) abandon() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.state == BreakerHalfOpen {
+		b.settle()
 	}
 }
 

@@ -290,7 +290,11 @@ func (r *HTTPRepository) fetch(ctx context.Context, u string) (*http.Response, i
 		if err := ctx.Err(); err != nil {
 			return nil, attempts, err
 		}
-		if ok, wait := br.allow(time.Now()); !ok {
+		ok, probe, wait := br.allow(ctx, r.Timeout)
+		if !ok {
+			if err := ctx.Err(); err != nil {
+				return nil, attempts, err
+			}
 			r.rejects.Add(1)
 			return nil, attempts, &CircuitOpenError{Host: r.host, RetryIn: wait}
 		}
@@ -305,7 +309,11 @@ func (r *HTTPRepository) fetch(ctx context.Context, u string) (*http.Response, i
 		r.fetchErrors.Add(1)
 		if ctx.Err() != nil {
 			// Caller cancellation: not the host's fault, and not worth
-			// another attempt. Leave the breaker untouched.
+			// another attempt. Leave the breaker's state untouched, but
+			// hand an unfinished probe to the next waiting caller.
+			if probe {
+				br.abandon()
+			}
 			return nil, attempts, ctx.Err()
 		}
 		var se *statusError

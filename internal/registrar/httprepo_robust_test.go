@@ -17,7 +17,8 @@ import (
 
 // archiveServer fronts a generated repository with controllable
 // failure behaviour: fail the next N requests, fail everything, stall
-// before answering, and count every request that arrives.
+// before answering, hold requests until released, and count every
+// request that arrives.
 type archiveServer struct {
 	mu      sync.Mutex
 	failN   int           // fail this many upcoming requests, then serve
@@ -25,6 +26,7 @@ type archiveServer struct {
 	status  int           // failure status code
 	header  http.Header   // extra headers on failures
 	sleep   time.Duration // pre-answer stall
+	hold    chan struct{} // when set, requests wait for it to close
 	reqs    int
 	fs      http.Handler
 }
@@ -44,6 +46,12 @@ func newArchiveServer(t *testing.T) (*httptest.Server, *archiveServer) {
 func (a *archiveServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	a.mu.Lock()
 	a.reqs++
+	hold := a.hold
+	a.mu.Unlock()
+	if hold != nil {
+		<-hold
+	}
+	a.mu.Lock()
 	fail := a.failAll
 	if !fail && a.failN > 0 {
 		a.failN--
@@ -261,6 +269,129 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	}
 	if h := repo.Health(); h.Hosts[0].State != BreakerClosed.String() {
 		t.Fatalf("health = %+v, want breaker closed after successful probe", h)
+	}
+}
+
+// TestBreakerHalfOpenWaitsForProbe: while a half-open probe is in
+// flight, concurrent fetches wait for its verdict instead of failing on
+// the spot. The recovering host sees exactly one request until the
+// probe answers; then every waiter proceeds when the probe succeeded,
+// and every waiter fails fast with a CircuitOpenError when it failed.
+func TestBreakerHalfOpenWaitsForProbe(t *testing.T) {
+	const callers = 6
+	for _, heal := range []bool{true, false} {
+		srv, a := newArchiveServer(t)
+		repo := newTestRepo(t, srv, func(r *HTTPRepository) {
+			r.Retry = RetryPolicy{MaxAttempts: 1, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond}
+			// The cooldown also outlasts any caller still starting up when
+			// a failed probe re-opens the breaker, so none can probe again.
+			r.Breaker = BreakerConfig{Threshold: 1, Cooldown: 100 * time.Millisecond}
+			r.Timeout = 5 * time.Second // the waiters' bound, far beyond the probe's hold
+		})
+		ctx := context.Background()
+		a.set(func(a *archiveServer) { a.failAll = true })
+		if _, err := repo.OpenContext(ctx, 0); err == nil {
+			t.Fatal("fetch succeeded against a failing archive")
+		}
+		time.Sleep(120 * time.Millisecond) // past the cooldown: half-open next
+
+		hold := make(chan struct{})
+		a.set(func(a *archiveServer) { a.failAll, a.hold = !heal, hold })
+		before := a.requests()
+		errs := make([]error, callers)
+		var wg sync.WaitGroup
+		for i := range errs {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				rc, err := repo.OpenContext(ctx, int64(i%len(repo.URIs())))
+				if err == nil {
+					rc.Close()
+				}
+				errs[i] = err
+			}(i)
+		}
+		for a.requests() == before {
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(50 * time.Millisecond) // let every other caller reach the breaker
+		if got := a.requests() - before; got != 1 {
+			t.Fatalf("heal %v: %d requests reached the host before the probe's verdict, want 1", heal, got)
+		}
+		released := time.Now()
+		close(hold)
+		wg.Wait()
+		rejected := 0
+		for i, err := range errs {
+			var open *CircuitOpenError
+			if errors.As(err, &open) {
+				rejected++
+			}
+			if heal && err != nil {
+				t.Errorf("caller %d failed after a successful probe: %v", i, err)
+			}
+		}
+		want, wantRejected := callers, 0
+		if !heal {
+			// The probe reports its own failure; every waiter is rejected.
+			want, wantRejected = 1, callers-1
+		}
+		if got := a.requests() - before; got != want || rejected != wantRejected {
+			t.Errorf("heal %v: %d requests reached the host and %d callers were rejected, want %d and %d",
+				heal, got, rejected, want, wantRejected)
+		}
+		if d := time.Since(released); !heal && d > time.Second {
+			t.Errorf("waiters took %v to fail after the probe failed, want fast", d)
+		}
+	}
+}
+
+// TestBreakerAbandonedProbeHandsOver: a probe whose caller gives up
+// settles nothing about the host, so the breaker stays half-open and a
+// waiting caller takes over as the probe instead of being rejected.
+func TestBreakerAbandonedProbeHandsOver(t *testing.T) {
+	srv, a := newArchiveServer(t)
+	repo := newTestRepo(t, srv, func(r *HTTPRepository) {
+		r.Retry = RetryPolicy{MaxAttempts: 1, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond}
+		r.Breaker = BreakerConfig{Threshold: 1, Cooldown: 100 * time.Millisecond}
+		r.Timeout = 5 * time.Second
+	})
+	a.set(func(a *archiveServer) { a.failAll = true })
+	if _, err := repo.OpenContext(context.Background(), 0); err == nil {
+		t.Fatal("fetch succeeded against a failing archive")
+	}
+	time.Sleep(120 * time.Millisecond) // past the cooldown: half-open next
+
+	hold := make(chan struct{})
+	a.set(func(a *archiveServer) { a.failAll, a.hold = false, hold })
+	before := a.requests()
+	ctx, cancel := context.WithCancel(context.Background())
+	probeErr := make(chan error, 1)
+	go func() {
+		_, err := repo.OpenContext(ctx, 0)
+		probeErr <- err
+	}()
+	for a.requests() == before {
+		time.Sleep(time.Millisecond)
+	}
+	waiterErr := make(chan error, 1)
+	go func() {
+		rc, err := repo.OpenContext(context.Background(), 1)
+		if err == nil {
+			rc.Close()
+		}
+		waiterErr <- err
+	}()
+	cancel()
+	if err := <-probeErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoned probe: err = %v, want context.Canceled", err)
+	}
+	close(hold)
+	if err := <-waiterErr; err != nil {
+		t.Fatalf("waiter behind an abandoned probe: %v", err)
+	}
+	if h := repo.Health(); h.Hosts[0].State != BreakerClosed.String() {
+		t.Fatalf("health = %+v, want breaker closed by the second probe", h)
 	}
 }
 

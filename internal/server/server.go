@@ -333,7 +333,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		dropped = s.streamQuery(ctx, w, req, timeout, capped) != nil
 		return
 	}
-	res, err := s.db.QueryArgsContext(ctx, req.SQL, req.Params...)
+	res, err := s.db.QueryContext(ctx, req.SQL, req.Params...)
 	if err != nil {
 		dropped = true
 		s.failed.Add(1)

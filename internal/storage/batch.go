@@ -322,14 +322,25 @@ func (r *Relation) Batches() []*Batch { return r.batches }
 // TakeBatches removes and returns the relation's batches without
 // releasing them: ownership of every batch moves to the caller and the
 // relation is left empty (reusable or recyclable via PutRelation). The
-// streaming drain uses it to move coalesced batches out of its scratch
-// buffers and into the sink.
+// parallel drain uses it to move a range's buffered batches into the
+// sink.
 func (r *Relation) TakeBatches() []*Batch {
 	bs := r.batches
 	r.batches = nil
 	r.rows = 0
 	r.zones.Store(nil)
 	return bs
+}
+
+// Reset empties the relation without releasing its batches, keeping
+// the backing array for the next fill: the caller has taken ownership
+// of every batch it held. The serial drain's scratch buffer uses it so
+// a delivered batch costs no slice re-growth.
+func (r *Relation) Reset() {
+	clear(r.batches)
+	r.batches = r.batches[:0]
+	r.rows = 0
+	r.zones.Store(nil)
 }
 
 // Rows reports the total number of rows.

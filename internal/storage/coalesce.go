@@ -16,10 +16,6 @@ type Coalescer struct {
 	kinds    []Kind
 	eligible bool
 	builders []Builder
-	// pooled draws builder backing from the batch-memory pool and emits
-	// pooled batches: the output relation owns them and Release recycles
-	// them (the steady-state drain path of hot queries).
-	pooled bool
 	// armed marks that the builders hold backing capacity for the
 	// current fill; Flush disarms instead of re-allocating, so the
 	// final flush of a stream never arms capacity it will not use.
@@ -30,7 +26,10 @@ type Coalescer struct {
 	colScratch []Column
 }
 
-// NewCoalescer prepares a coalescer for the given output schema.
+// NewCoalescer prepares a coalescer for the given output schema. Its
+// builders draw backing from the batch-memory pool and it emits pooled
+// batches (unpooled when SetPooling is off): the output relation owns
+// them and Release recycles them.
 func NewCoalescer(kinds []Kind) *Coalescer {
 	c := &Coalescer{kinds: kinds, eligible: len(kinds) > 0}
 	for _, k := range kinds {
@@ -40,13 +39,6 @@ func NewCoalescer(kinds []Kind) *Coalescer {
 			c.eligible = false
 		}
 	}
-	return c
-}
-
-// NewPooledCoalescer is NewCoalescer with pooled output batches.
-func NewPooledCoalescer(kinds []Kind) *Coalescer {
-	c := NewCoalescer(kinds)
-	c.pooled = true
 	return c
 }
 
@@ -70,11 +62,7 @@ func (c *Coalescer) Add(out *Relation, b *Batch) {
 	if c.builders == nil {
 		c.builders = make([]Builder, len(c.kinds))
 		for i, k := range c.kinds {
-			if c.pooled {
-				c.builders[i] = NewPooledBuilder(k, BatchSize)
-			} else {
-				c.builders[i] = NewBuilder(k, BatchSize)
-			}
+			c.builders[i] = NewPooledBuilder(k, BatchSize)
 		}
 	} else if !c.armed {
 		for _, bl := range c.builders {
@@ -109,13 +97,9 @@ func (c *Coalescer) Flush(out *Relation) {
 		// not allocate backing it will never fill.
 		cols[i] = b.Finish()
 	}
-	if c.pooled {
-		// NewPooledBatch copies cols into the pooled header, so the
-		// scratch slice is free to reuse.
-		out.Append(NewPooledBatch(cols...))
-	} else {
-		out.Append(NewBatch(append([]Column(nil), cols...)...))
-	}
+	// NewPooledBatch copies cols into the batch header, so the scratch
+	// slice is free to reuse.
+	out.Append(NewPooledBatch(cols...))
 	c.armed = false
 	c.rows = 0
 }

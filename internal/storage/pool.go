@@ -356,9 +356,9 @@ func GatherPooled(c Column, idx []int32) Column {
 }
 
 // GetRelation returns an empty relation pre-sized for nBatches, drawn
-// from the relation-header pool; PutRelation returns it. ParallelDrain
-// uses the pair for its per-range relations, whose batches transfer to
-// the reassembled output while the headers recycle.
+// from the relation-header pool; PutRelation returns it. The parallel
+// drain uses the pair for its per-range buffers, whose batches transfer
+// to the sink while the headers recycle.
 func GetRelation(nBatches int) *Relation {
 	if !pooling.Load() {
 		return NewRelationWithCap(nBatches)

@@ -150,7 +150,7 @@ func TestPooledCoalescerMultiFlushPoolingOff(t *testing.T) {
 	SetPooling(false)
 	defer SetPooling(true)
 	kinds := []Kind{KindInt64}
-	c := NewPooledCoalescer(kinds)
+	c := NewCoalescer(kinds)
 	out := NewRelation()
 	mkSel := func(v int64) *Batch {
 		vals := make([]int64, BatchSize)

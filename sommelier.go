@@ -31,9 +31,9 @@
 // # Concurrency
 //
 // A DB is safe for concurrent use: any number of goroutines may call
-// Query/QueryContext/Run on one open database, under every loading
-// approach, and each receives exactly the result serial execution
-// would produce. Concurrent queries selecting the same missing chunk
+// Query/QueryContext/QueryStream on one open database, under every
+// loading approach, and each receives exactly the result serial
+// execution would produce. Concurrent queries selecting the same missing chunk
 // share a single load (a singleflight keyed by table and chunk ID);
 // every chunk a query scans is pinned for the duration of execution,
 // so another query's cache eviction defers until the last reader
